@@ -275,8 +275,9 @@ func BenchmarkDetailedSimulation(b *testing.B) {
 
 // BenchmarkDetailedSimulationAnnotated measures the annotation-plane
 // fast path for the same design point: machine events precomputed,
-// timing-only replay (annotation cost excluded — it is paid once per
-// machine component and shared across the whole design space).
+// timing-only replay as a one-lane batch (annotation cost excluded —
+// it is paid once per machine component and shared across the whole
+// design space).
 func BenchmarkDetailedSimulationAnnotated(b *testing.B) {
 	pw := profiledFor(b, "gsm_c")
 	cfg := uarch.Default()
@@ -284,9 +285,10 @@ func BenchmarkDetailedSimulationAnnotated(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	pts := []pipeline.BatchPoint{{Cfg: cfg, Ann: ann}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.SimulateAnnotated(pw.Trace, cfg, ann); err != nil {
+		if _, err := pipeline.SimulateAnnotatedBatch(pw.Trace, pts); err != nil {
 			b.Fatal(err)
 		}
 	}

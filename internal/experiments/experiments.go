@@ -200,24 +200,26 @@ func Fig4() (*Fig4Result, error) {
 		if err != nil {
 			return err
 		}
-		// The width sweep stays sequential: the benchmark fan-out above
-		// already consumes the worker budget, and nesting pools would
-		// multiply concurrency past the -workers contract.
+		cfgs := make([]uarch.Config, widths)
+		for wi := range cfgs {
+			cfgs[wi] = base.WithWidth(wi + 1)
+		}
+		// All four widths share one hierarchy and predictor, so they are
+		// annotated once and replayed together in one batch pass. One
+		// worker: the benchmark fan-out above already consumes the
+		// worker budget, and nesting pools would multiply concurrency
+		// past the -workers contract.
+		sims, err := pw.SimulateDetailedBatch(cfgs, 1)
+		if err != nil {
+			return err
+		}
 		ws := make([]WidthStack, widths)
-		for wi := 0; wi < widths; wi++ {
-			cfg := base.WithWidth(wi + 1)
+		for wi, cfg := range cfgs {
 			st, err := core.Predict(in, cfg)
 			if err != nil {
 				return err
 			}
-			// All four widths share one hierarchy and predictor, so the
-			// annotation is computed once and each width is a
-			// timing-only replay.
-			sim, err := pw.SimulateDetailed(cfg)
-			if err != nil {
-				return err
-			}
-			ws[wi] = WidthStack{Width: wi + 1, Stack: st, SimCPI: sim.CPI()}
+			ws[wi] = WidthStack{Width: wi + 1, Stack: st, SimCPI: sims[wi].CPI()}
 		}
 		rows[bi] = ws
 		return nil

@@ -23,27 +23,49 @@ func safeSimulateAnnotatedBatch(ctx context.Context, tr *trace.Trace, pts []pipe
 	return pipeline.SimulateAnnotatedBatchCtx(ctx, tr, pts)
 }
 
+// SimulateDetailed runs the detailed cycle-accurate simulation of one
+// design point as a one-point SimulateDetailedBatch: machine events
+// come from the (cached) annotation planes and the replay is
+// timing-only arithmetic. Timing results are memoized by (timing
+// parameters, plane identity) — design points whose planes
+// canonicalized to the same objects share one replay, and only the
+// hierarchy statistics are stamped per configuration. The Result is
+// bit-identical to pipeline.Simulate's. Front-end depths above 16 are
+// rejected with an error (the annotated kernel's drain ring has 16
+// slots); every supported design space stops at depth 6.
+func (pw *Profiled) SimulateDetailed(cfg uarch.Config) (pipeline.Result, error) {
+	return pw.SimulateDetailedCtx(context.Background(), cfg)
+}
+
+// SimulateDetailedCtx is SimulateDetailed under a request context,
+// with SimulateDetailedBatchCtx's cancellation contract.
+func (pw *Profiled) SimulateDetailedCtx(ctx context.Context, cfg uarch.Config) (pipeline.Result, error) {
+	res, err := pw.SimulateDetailedBatchCtx(ctx, []uarch.Config{cfg}, 1)
+	if err != nil {
+		return pipeline.Result{}, err
+	}
+	return res[0], nil
+}
+
 // SimulateDetailedBatch runs the detailed cycle-accurate simulation of
-// every design point in cfgs through the config-parallel batch kernel:
-// the trace is annotated once per distinct component, the points are
-// deduplicated through the same timing memo as SimulateDetailed, and
-// all memo-missing points replay together in one pass over each trace
+// every design point in cfgs through the config-parallel annotated
+// kernel: the trace is annotated once per distinct component, the
+// points are deduplicated through the timing memo, and all
+// memo-missing points replay together in one pass over each trace
 // chunk (pipeline.SimulateAnnotatedBatch), sharded across workers.
 // Results are indexed like cfgs and each is bit-identical to
-// pipeline.Simulate's — and to SimulateDetailed's, whose memo entries
-// this path shares: a point simulated by either path is a memo hit for
-// the other.
+// pipeline.Simulate's.
 func (pw *Profiled) SimulateDetailedBatch(cfgs []uarch.Config, workers int) ([]pipeline.Result, error) {
 	return pw.SimulateDetailedBatchCtx(context.Background(), cfgs, workers)
 }
 
 // SimulateDetailedBatchCtx is SimulateDetailedBatch under a request
-// context, with the same claimant/waiter contract as
-// SimulateDetailedCtx: own replays abort at chunk boundaries once ctx
-// ends, waits on other requests' in-flight entries abandon promptly,
-// and another request's cancellation is recomputed rather than
-// reported. A cancelled batch resolves and removes every timing entry
-// it claimed — no partial memo entries survive.
+// context: own replays abort at chunk boundaries once ctx ends, waits
+// on other requests' in-flight entries abandon promptly, and another
+// request's cancellation is recomputed rather than reported (the same
+// contract as EnsureAnnotatedCtx). A cancelled batch resolves and
+// removes every timing entry it claimed — no partial memo entries
+// survive.
 func (pw *Profiled) SimulateDetailedBatchCtx(ctx context.Context, cfgs []uarch.Config, workers int) ([]pipeline.Result, error) {
 	for {
 		res, err := pw.simulateDetailedBatch(ctx, cfgs, workers)
@@ -58,12 +80,18 @@ func (pw *Profiled) simulateDetailedBatch(ctx context.Context, cfgs []uarch.Conf
 	if len(cfgs) == 0 {
 		return nil, nil
 	}
-	if err := pw.ensureAnnotated(ctx, cfgs, workers, nil); err != nil {
-		return nil, err
+	// Several points annotate their components in one parallel pass; a
+	// single point annotates through annotation alone, whose claimed
+	// planes stay usable even when a tight byte budget evicts them
+	// at once.
+	if len(cfgs) > 1 {
+		if err := pw.ensureAnnotated(ctx, cfgs, workers, nil); err != nil {
+			return nil, err
+		}
 	}
 	anns := make([]pipeline.Annotation, len(cfgs))
 	for i, cfg := range cfgs {
-		ann, err := pw.annotation(ctx, cfg) // cache hit after ensureAnnotated
+		ann, err := pw.annotation(ctx, cfg)
 		if err != nil {
 			return nil, err
 		}

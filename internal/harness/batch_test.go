@@ -23,7 +23,7 @@ func batchTestConfigs() []uarch.Config {
 // against the self-contained simulator: every design point out of one
 // config-parallel pass must be bit-identical to pipeline.Simulate, and
 // the timing entries it memoizes must be hits for SimulateDetailed
-// (the two paths share one memo).
+// (a one-point batch over the same memo).
 func TestSimulateDetailedBatchMatchesSimulate(t *testing.T) {
 	spec, err := workloads.ByName("crc32")
 	if err != nil {
@@ -57,7 +57,8 @@ func TestSimulateDetailedBatchMatchesSimulate(t *testing.T) {
 }
 
 // TestSimulateDetailedBatchCancelLeavesNoPartialMemo pins the
-// claimant contract of the batch path: a cancelled batch reports
+// claimant contract of the batch path: a cancelled batch — or a
+// cancelled single point through SimulateDetailedCtx — reports
 // ctx.Err() and resolves-and-removes every timing entry it claimed, so
 // the memo never holds a partial or poisoned entry, and a later call
 // with a live context recomputes everything bit-identically.
@@ -87,6 +88,30 @@ func TestSimulateDetailedBatchCancelLeavesNoPartialMemo(t *testing.T) {
 	pw.annot.mu.Unlock()
 	if left != 0 {
 		t.Fatalf("cancelled batch left %d timing memo entries, want 0", left)
+	}
+
+	// A single point takes the same path: cancelled, it claims nothing
+	// that survives, and a live retry matches the reference simulator.
+	one := cfgs[len(cfgs)-1]
+	if _, err := pw.SimulateDetailedCtx(ctx, one); err != context.Canceled {
+		t.Fatalf("cancelled single point returned %v, want context.Canceled", err)
+	}
+	pw.annot.mu.Lock()
+	left = len(pw.annot.timing)
+	pw.annot.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("cancelled single point left %d timing memo entries, want 0", left)
+	}
+	gotOne, err := pw.SimulateDetailed(one)
+	if err != nil {
+		t.Fatalf("single point after cancellation: %v", err)
+	}
+	wantOne, err := pipeline.Simulate(pw.Trace, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotOne != wantOne {
+		t.Errorf("post-cancel single point diverges:\n got  %+v\n want %+v", gotOne, wantOne)
 	}
 
 	// Recovery: the same points under a live context compute cleanly

@@ -6,14 +6,33 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/uarch"
 )
 
-// The config-parallel batch replay evaluates every resident design
-// point in one chunk-major sweep over the trace. It is built on two
-// observations about SimulateAnnotated's machine:
+// Annotation bundles the precomputed per-instruction machine events a
+// timing-only replay consumes in place of live cache-hierarchy and
+// branch-predictor objects. Mem holds one memory-event class byte per
+// instruction (trace.Ann* bits) for cfg.Hier, MemStats the end-of-run
+// hierarchy statistics of the same pass, and Br one mispredict bit per
+// instruction for cfg.Predictor. Both planes are pure functions of the
+// trace and their machine component — the blocking in-order pipeline
+// touches memory in program order and trains the predictor at fetch in
+// program order — so they are computed once per distinct component and
+// shared by every design point (and every width/depth/frequency) that
+// uses it.
+type Annotation struct {
+	Mem      *trace.BytePlane
+	MemStats cache.Stats
+	Br       *trace.BitPlane
+}
+
+// The annotated timing kernel replays Simulate's machine over the
+// annotation planes and evaluates every resident design point in one
+// chunk-major sweep over the trace. It is built on two observations
+// about that machine:
 //
 //  1. The partition of the trace into fetch groups is a pure function
 //     of (width, flags, I-side annotation classes, mispredict bits) —
@@ -24,7 +43,7 @@ import (
 //
 //  2. The front-end is a rigid conveyor: groups advance one stage per
 //     cycle into empty slots, and admission drains the head group in
-//     order. The per-cycle lockstep loop collapses into two
+//     order. Simulate's per-cycle lockstep loop collapses into two
 //     recurrences per group — with f_k the fetch cycle and d_k the
 //     cycle group k fully drains into execute,
 //
@@ -35,17 +54,18 @@ import (
 //     +1 for a full group, +2 for a taken-control bubble, the I-miss
 //     refill latency, or the resolving branch's admission cycle + 1
 //     after a mispredict; d_{k-D} is when the D-deep conveyor frees
-//     its fetch slot). Admission within the group replays the same
-//     burst arithmetic as the scalar kernel — dependence stalls,
-//     mul/div execute blocking, memory-stage occupancy — but only
-//     touches cycles where something happens.
+//     its fetch slot). Admission within the group replays Simulate's
+//     burst arithmetic — dependence stalls, mul/div execute blocking,
+//     memory-stage occupancy — but only touches cycles where something
+//     happens.
 //
-// Per instruction the batch kernel reads one pre-decoded 32-bit uop
+// Per instruction the kernel reads one pre-decoded 32-bit uop
 // (sources, destination, class kind, latency classes, control flags)
 // built once per distinct memory plane and shared by every lane, so a
 // chunk's working set stays cache-resident while the config axis
-// streams. Results are bit-identical to SimulateAnnotated for every
-// point, differentially tested across the full Table 2 space.
+// streams. A single design point is a one-lane batch. Results are
+// bit-identical to Simulate for every point, differentially tested
+// across the full Table 2 space.
 
 // BatchPoint pairs one design point with its annotation planes. Points
 // sharing a component should share the plane pointers (the harness's
@@ -182,7 +202,7 @@ type bmem struct {
 }
 
 // blane is one design point's private timing state. Everything here is
-// the analytic image of the scalar kernel's mutable state.
+// the analytic image of Simulate's mutable pipeline state.
 type blane struct {
 	out      *Result
 	extraTab [8]int64
@@ -195,9 +215,9 @@ type blane struct {
 	nf    int64 // next-fetch constraint
 	fPrev int64 // previous group's fetch cycle
 	dPrev int64 // previous group's drain cycle
-	// dRing holds the last depth drain cycles (depth <= 9 in the Table 2
-	// domain); a fixed-size array lets the runners index it with ri&15,
-	// which the compiler proves in-bounds.
+	// dRing holds the last depth drain cycles (depth <= 16; Table 2's
+	// deepest front-end is 6); a fixed-size array lets the runners index
+	// it with ri&15, which the compiler proves in-bounds.
 	dRing [16]int64
 	ri    int
 
@@ -217,10 +237,10 @@ type blane struct {
 // bstream is one (width, memory plane, branch plane) decomposition
 // shared by all lanes (depth/frequency points) on those components.
 // mask has bit c set when I-side annotation class c costs a non-zero
-// refill on this stream's lanes: the scalar kernel only breaks a fetch
-// group when the decoded latency is positive, and a latency that
-// rounds to zero cycles must not break here either. Lanes whose
-// latency tables zero out different classes get their own stream.
+// refill on this stream's lanes: Simulate only breaks a fetch group
+// when the I-side latency is positive, and a latency that rounds to
+// zero cycles must not break here either. Lanes whose latency tables
+// zero out different classes get their own stream.
 type bstream struct {
 	mem   *bmem
 	br    [][]uint64
@@ -755,7 +775,8 @@ func (s *bstream) runW1(limit int) {
 // single chunk-major pass: each 16K-instruction chunk's uops and
 // groups are computed once and consumed by every lane while they are
 // cache-resident. Each point's Result is bit-identical to
-// SimulateAnnotated(tr, pts[i].Cfg, pts[i].Ann).
+// Simulate(tr, pts[i].Cfg). Front-end depths above 16 are rejected
+// with an error: the lane drain ring has 16 slots.
 func SimulateAnnotatedBatch(tr *trace.Trace, pts []BatchPoint) ([]Result, error) {
 	return SimulateAnnotatedBatchCtx(context.Background(), tr, pts)
 }
@@ -770,6 +791,11 @@ func SimulateAnnotatedBatchCtx(ctx context.Context, tr *trace.Trace, pts []Batch
 	for i := range pts {
 		if err := pts[i].Cfg.Validate(); err != nil {
 			return nil, err
+		}
+		if d := pts[i].Cfg.FrontEndDepth; d > len(blane{}.dRing) {
+			// The lane drain ring is a fixed 16-slot array; reject
+			// rather than corrupt.
+			return nil, fmt.Errorf("pipeline: annotated replay supports front-end depth <= %d, got %d", len(blane{}.dRing), d)
 		}
 		results[i].Instructions = n
 	}
@@ -798,11 +824,6 @@ func SimulateAnnotatedBatchCtx(ctx context.Context, tr *trace.Trace, pts []Batch
 	for i := range pts {
 		cfg := &pts[i].Cfg
 		ann := &pts[i].Ann
-		if cfg.FrontEndDepth > 16 {
-			// The lane drain ring is a fixed 16-slot array (Table 2's
-			// deepest pipeline needs 6); reject rather than corrupt.
-			return nil, fmt.Errorf("pipeline: batch replay supports front-end depth <= 16, got %d", cfg.FrontEndDepth)
-		}
 		bm := mems[ann.Mem]
 		if bm == nil {
 			uops, ev, ll := buildUops(tr, ann.Mem)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/faultfs"
 	"repro/internal/harness"
+	"repro/internal/pipeline"
 )
 
 // serveCtx drives one request through the full handler chain under an
@@ -411,8 +412,8 @@ func TestClientDisconnectStopsExplore(t *testing.T) {
 		t.Fatalf("abandoned explore coded %q, want cancelled", body.Error.Code)
 	}
 
-	// The non-faulted path stays bit-identical to the direct harness
-	// answer after the chaos.
+	// The non-faulted path stays bit-identical to the direct model and
+	// to the self-contained simulator after the chaos.
 	pred := serveCtx(srv, context.Background(), "/v1/predict?bench=crc32&validate=true")
 	if pred.Code != http.StatusOK {
 		t.Fatalf("predict after cancelled explore answered %d", pred.Code)
@@ -430,7 +431,7 @@ func TestClientDisconnectStopsExplore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := pw.SimulateDetailed(cfg)
+	sim, err := pipeline.Simulate(pw.Trace, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

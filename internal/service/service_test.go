@@ -11,6 +11,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/dse"
 	"repro/internal/harness"
+	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/uarch"
 	"repro/internal/workloads"
@@ -61,10 +62,12 @@ func profiledDirect(t *testing.T, name string) *harness.Profiled {
 }
 
 // TestPredictMatchesHarness pins the acceptance contract: a validated
-// /v1/predict answer is bit-identical to what the inorder-model CLI
-// computes through pw.Predict and pw.SimulateDetailed. Profiling is
-// deterministic, so an independently profiled reference reproduces the
-// service's floats exactly (JSON round-trips float64 losslessly).
+// /v1/predict answer is bit-identical to pw.Predict for the model and
+// to the self-contained pipeline.Simulate — an oracle independent of
+// the service's annotated replay path — for the detailed simulation.
+// Profiling is deterministic, so an independently profiled reference
+// reproduces the service's floats exactly (JSON round-trips float64
+// losslessly).
 func TestPredictMatchesHarness(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	var got PredictResponse
@@ -82,7 +85,7 @@ func TestPredictMatchesHarness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := pw.SimulateDetailed(cfg)
+	sim, err := pipeline.Simulate(pw.Trace, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
