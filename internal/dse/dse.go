@@ -142,12 +142,14 @@ func fillSim(p *Point, sim pipeline.Result, src inputsSource, pm power.Model) er
 // ExploreValidated additionally runs the detailed simulator for every
 // configuration, in parallel across workers (≤0 means the process
 // default, see par.SetDefault). The trace is annotated once per
-// distinct hierarchy and once per distinct predictor of the space
-// (itself in parallel, with the model inputs fused into the same
-// traversals); every memo-missing design point then replays together
-// through the config-parallel annotated kernel, one pass per trace
-// chunk, bit-identical to pipeline.Simulate. A cold 192-point sweep
-// touches the trace once per distinct component and once for timing.
+// distinct hierarchy and once per distinct predictor of the space,
+// itself in parallel; the model inputs are the statistics those
+// annotations keep (harness.ExploreInputsCtx), so no separate
+// statistics traversal runs unless planes came from the artifact
+// store. Every memo-missing design point then replays together through
+// the config-parallel annotated kernel, one pass per trace chunk,
+// bit-identical to pipeline.Simulate. A cold 192-point sweep touches
+// the trace once per distinct component and once for timing.
 func ExploreValidated(pw *harness.Profiled, cfgs []uarch.Config, pm power.Model, workers int) ([]Point, error) {
 	return ExploreValidatedCtx(context.Background(), pw, cfgs, pm, workers)
 }

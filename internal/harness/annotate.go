@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -52,6 +54,23 @@ func canonicalize[P interface{ Equal(P) bool }](seeds []P, p P) P {
 type MemPlane struct {
 	Classes *trace.BytePlane
 	Stats   cache.Stats
+
+	// raw is the hierarchy's model statistics — Stats before the
+	// I-stall fold, bit-identical to what CollectMultiStats reports —
+	// and hasRaw whether the plane carries them: a plane loaded from
+	// the artifact store does not (the format stores only Stats).
+	raw    cache.Stats
+	hasRaw bool
+}
+
+// brPlane is the branch half of an annotation: one predictor's
+// mispredict plane plus its end-of-run statistics, which are the model
+// inputs. hasStats is false for a plane loaded from the artifact
+// store, which stores only the plane.
+type brPlane struct {
+	bits     *trace.BitPlane
+	stats    branch.Stats
+	hasStats bool
 }
 
 // groupByFront buckets distinct hierarchies by their L1/TLB front —
@@ -78,13 +97,10 @@ func groupByFront(hiers []cache.HierarchyConfig) ([]hierFront, map[hierFront][]c
 // sharing one L1/TLB front: the shared stack-distance engine resolves
 // each instruction's L2 outcome for all candidate geometries at once.
 // Cancellation is observed at trace chunk boundaries; an aborted
-// traversal returns ctx.Err() and publishes nothing.
-//
-// The second return value carries each hierarchy's raw end-of-run
-// statistics (before the I-stall fold below) — bit-identical to what
-// CollectMultiStats' plain engine reports, so a caller that needs both
-// planes and model inputs pays one traversal (see ExploreInputs).
-func annotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group []cache.HierarchyConfig) (map[cache.HierarchyConfig]*MemPlane, map[cache.HierarchyConfig]cache.Stats, error) {
+// traversal returns ctx.Err() and publishes nothing. Each plane also
+// carries its hierarchy's raw model statistics, so a caller that needs
+// both planes and model inputs pays one traversal (see ExploreInputs).
+func annotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group []cache.HierarchyConfig) (map[cache.HierarchyConfig]*MemPlane, error) {
 	base := cache.HierarchyConfig{
 		IL1: f.il1, DL1: f.dl1,
 		ITLBEntries: f.itlbEntries, DTLBEntries: f.dtlbEntries,
@@ -96,13 +112,13 @@ func annotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group []ca
 	}
 	eng, err := cache.NewL2SpaceSim(base, l2s)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := eng.RecordPlanes(l2s); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := tr.ReplayCtx(ctx, eng); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Canonicalize: two geometries whose planes came out identical
 	// (common — the trace's L2 misses are often all cold) share one
@@ -110,32 +126,31 @@ func annotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group []ca
 	// identity. Stats stay per-hierarchy (writeback counts differ
 	// even when the per-instruction event classes coincide).
 	out := make(map[cache.HierarchyConfig]*MemPlane, len(group))
-	raw := make(map[cache.HierarchyConfig]cache.Stats, len(group))
 	var canon []*trace.BytePlane
 	for _, h := range group {
 		plane, err := eng.PlaneFor(h.L2)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if q := canonicalize(canon, plane); q != plane {
 			plane = q
 		} else {
 			canon = append(canon, plane)
 		}
-		stats, err := eng.StatsFor(h.L2)
+		raw, err := eng.StatsFor(h.L2)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		raw[h] = stats
 		// The detailed simulator re-accesses the hierarchy once per
 		// I-side stall when fetch resumes (a guaranteed hit that
 		// bumps only IL1Accesses); fold that in so MemPlane.Stats
 		// is bit-identical to Simulate's Result.Cache.
+		stats := raw
 		stats.IL1Accesses += eng.IStallEvents()
-		out[h] = &MemPlane{Classes: plane, Stats: stats}
+		out[h] = &MemPlane{Classes: plane, Stats: stats, raw: raw, hasRaw: true}
 	}
 	cacheAnnotates.Add(int64(len(group)))
-	return out, raw, nil
+	return out, nil
 }
 
 // safeAnnotateFront is annotateFront with panics converted to errors:
@@ -143,10 +158,10 @@ func annotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group []ca
 // done channel unclosed and wedge every future request for the
 // component (net/http recovers handler panics, so a long-running
 // service would otherwise keep the dead claim forever).
-func safeAnnotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group []cache.HierarchyConfig) (out map[cache.HierarchyConfig]*MemPlane, raw map[cache.HierarchyConfig]cache.Stats, err error) {
+func safeAnnotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group []cache.HierarchyConfig) (out map[cache.HierarchyConfig]*MemPlane, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			out, raw, err = nil, nil, fmt.Errorf("harness: cache annotation panicked: %v", r)
+			out, err = nil, fmt.Errorf("harness: cache annotation panicked: %v", r)
 		}
 	}()
 	return annotateFront(ctx, tr, f, group)
@@ -156,81 +171,18 @@ func safeAnnotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group 
 // protection (see safeAnnotateFront), returning the fused end-of-run
 // predictor statistics alongside the plane. The annotation counter is
 // bumped only on completion: a cancelled traversal annotated nothing.
-func safeAnnotateBranch(ctx context.Context, tr *trace.Trace, pk uarch.PredictorKind) (p *trace.BitPlane, bs branch.Stats, err error) {
+func safeAnnotateBranch(ctx context.Context, tr *trace.Trace, pk uarch.PredictorKind) (bp brPlane, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			p, bs, err = nil, branch.Stats{}, fmt.Errorf("harness: branch annotation for %v panicked: %v", pk, r)
+			bp, err = brPlane{}, fmt.Errorf("harness: branch annotation for %v panicked: %v", pk, r)
 		}
 	}()
-	p, bs, err = branch.AnnotateMispredictsStatsCtx(ctx, tr, pk.New())
+	p, bs, err := branch.AnnotateMispredictsStatsCtx(ctx, tr, pk.New())
 	if err != nil {
-		return nil, branch.Stats{}, err
+		return brPlane{}, err
 	}
 	branchAnnotates.Add(1)
-	return p, bs, nil
-}
-
-// AnnotateCaches computes memory-event planes for every distinct
-// hierarchy in hiers, one trace traversal per distinct L1/TLB front.
-// Fronts are annotated in parallel across workers (≤0 means the
-// process default).
-func AnnotateCaches(tr *trace.Trace, hiers []cache.HierarchyConfig, workers int) (map[cache.HierarchyConfig]*MemPlane, error) {
-	fronts, byFront := groupByFront(hiers)
-	out := make(map[cache.HierarchyConfig]*MemPlane)
-	var mu sync.Mutex
-	err := par.ForEach(workers, len(fronts), func(i int) error {
-		part, _, err := annotateFront(context.Background(), tr, fronts[i], byFront[fronts[i]])
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		for h, mp := range part {
-			out[h] = mp
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AnnotateBranches computes mispredict planes for every distinct
-// predictor kind, in parallel across workers.
-func AnnotateBranches(tr *trace.Trace, preds []uarch.PredictorKind, workers int) (map[uarch.PredictorKind]*trace.BitPlane, error) {
-	var kinds []uarch.PredictorKind
-	seen := make(map[uarch.PredictorKind]bool)
-	for _, pk := range preds {
-		if !seen[pk] {
-			seen[pk] = true
-			kinds = append(kinds, pk)
-		}
-	}
-	out := make(map[uarch.PredictorKind]*trace.BitPlane, len(kinds))
-	var mu sync.Mutex
-	err := par.ForEach(workers, len(kinds), func(i int) error {
-		p := branch.AnnotateMispredicts(tr, kinds[i].New())
-		mu.Lock()
-		out[kinds[i]] = p
-		mu.Unlock()
-		branchAnnotates.Add(1)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Canonicalize identical planes (two predictors can mispredict the
-	// exact same branches) so timing memoization can key on identity.
-	var canon []*trace.BitPlane
-	for _, pk := range kinds {
-		if q := canonicalize(canon, out[pk]); q != out[pk] {
-			out[pk] = q
-		} else {
-			canon = append(canon, out[pk])
-		}
-	}
-	return out, nil
+	return brPlane{bits: p, stats: bs, hasStats: true}, nil
 }
 
 // annotStore is the per-Profiled plane cache: planes are keyed by the
@@ -250,7 +202,7 @@ func AnnotateBranches(tr *trace.Trace, preds []uarch.PredictorKind, workers int)
 type annotStore struct {
 	mu     sync.Mutex
 	mem    map[cache.HierarchyConfig]*annotEntry[*MemPlane]
-	br     map[uarch.PredictorKind]*annotEntry[*trace.BitPlane]
+	br     map[uarch.PredictorKind]*annotEntry[brPlane]
 	timing map[timingKey]*annotEntry[pipeline.Result]
 
 	budget    int64 // resident-byte budget; ≤ 0 means unbounded
@@ -275,10 +227,14 @@ type planeRef struct {
 	refs  int
 }
 
-// Fixed per-entry charges covering the entry, key and map-slot
-// footprint beyond the planes themselves.
+// Fixed per-entry charges beyond the planes themselves: the entry, key
+// and map-slot footprint, plus the statistics a component entry holds
+// (a MemPlane's simulator and model cache.Stats, a brPlane's
+// branch.Stats).
 const (
 	annotEntryOverheadBytes  = 160
+	memEntryBytes            = annotEntryOverheadBytes + int64(unsafe.Sizeof(MemPlane{}))
+	brEntryBytes             = annotEntryOverheadBytes + int64(unsafe.Sizeof(brPlane{}))
 	timingEntryOverheadBytes = 512
 )
 
@@ -356,14 +312,14 @@ func (st *annotStore) seedsLocked() (mem []*trace.BytePlane, br []*trace.BitPlan
 // the accounting. Callers hold st.mu.
 func (st *annotStore) chargeMemLocked(e *annotEntry[*MemPlane]) {
 	st.retainLocked(e.val.Classes, e.val.Classes.SizeBytes())
-	st.usedBytes += annotEntryOverheadBytes
+	st.usedBytes += memEntryBytes
 	st.touchLocked(&e.lastUse)
 }
 
 // chargeBrLocked publishes a completed branch-annotation entry.
-func (st *annotStore) chargeBrLocked(e *annotEntry[*trace.BitPlane]) {
-	st.retainLocked(e.val, e.val.SizeBytes())
-	st.usedBytes += annotEntryOverheadBytes
+func (st *annotStore) chargeBrLocked(e *annotEntry[brPlane]) {
+	st.retainLocked(e.val.bits, e.val.bits.SizeBytes())
+	st.usedBytes += brEntryBytes
 	st.touchLocked(&e.lastUse)
 }
 
@@ -418,11 +374,11 @@ func (st *annotStore) evictLocked() {
 			return // everything resident is in flight; retry on next publish
 		case kindMem:
 			st.releaseLocked(st.mem[memK].val.Classes)
-			st.usedBytes -= annotEntryOverheadBytes
+			st.usedBytes -= memEntryBytes
 			delete(st.mem, memK)
 		case kindBr:
-			st.releaseLocked(st.br[brK].val)
-			st.usedBytes -= annotEntryOverheadBytes
+			st.releaseLocked(st.br[brK].val.bits)
+			st.usedBytes -= brEntryBytes
 			delete(st.br, brK)
 		case kindTiming:
 			st.releaseLocked(timK.mem)
@@ -479,64 +435,106 @@ func (pw *Profiled) EnsureAnnotated(cfgs []uarch.Config, workers int) error {
 // that self-claimed run can only be cancelled by this ctx, which
 // bounds the retries.
 func (pw *Profiled) EnsureAnnotatedCtx(ctx context.Context, cfgs []uarch.Config, workers int) error {
+	_, err := pw.annotated(ctx, cfgs, workers)
+	return err
+}
+
+// Annotation returns the annotation planes for one design point,
+// computing and caching them if needed (singleflight per component).
+// The planes are the values this call resolved, so the result is
+// valid even if a tight byte budget evicts the cache entries at once.
+func (pw *Profiled) Annotation(cfg uarch.Config) (pipeline.Annotation, error) {
+	c, err := pw.annotated(context.Background(), []uarch.Config{cfg}, 1)
+	if err != nil {
+		return pipeline.Annotation{}, err
+	}
+	return c.annotation(cfg), nil
+}
+
+// annotated is ensureAnnotated with EnsureAnnotatedCtx's retry of
+// another request's cancellation.
+func (pw *Profiled) annotated(ctx context.Context, cfgs []uarch.Config, workers int) (*components, error) {
 	for {
-		err := pw.ensureAnnotated(ctx, cfgs, workers, nil)
+		c, err := pw.ensureAnnotated(ctx, cfgs, workers)
 		if err != nil && isCancellation(err) && ctx.Err() == nil {
 			continue
 		}
-		return err
+		return c, err
 	}
 }
 
+// components is what one ensureAnnotated call resolved: the plane and
+// statistics of every distinct hierarchy and predictor of its
+// configurations, listed in first-appearance order. The values are
+// the ones the call computed, loaded or found resident, so they stay
+// valid after a byte budget evicts their cache entries.
+type components struct {
+	hiers []cache.HierarchyConfig
+	preds []uarch.PredictorKind
+	mem   map[cache.HierarchyConfig]*MemPlane
+	br    map[uarch.PredictorKind]brPlane
+}
+
+// annotation assembles one resolved design point's timing-kernel
+// input.
+func (c *components) annotation(cfg uarch.Config) pipeline.Annotation {
+	mp := c.mem[cfg.Hier]
+	return pipeline.Annotation{Mem: mp.Classes, MemStats: mp.Stats, Br: c.br[cfg.Predictor].bits}
+}
+
 // ensureAnnotated is one claim/compute/publish attempt over the
-// distinct components of cfgs. When fused is non-nil, every component
-// this call computes fresh also deposits its raw machine statistics
-// there — the fused statistics side-channel behind ExploreInputs;
-// cache-hit and disk-loaded components deposit nothing.
-func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, workers int, fused *fusedStats) error {
+// distinct components of cfgs. It claims every component not resident
+// (singleflight: concurrent requesters of a claimed component wait for
+// it), rehydrates claimed components from the artifact store or
+// computes them, publishes them, and then collects every component's
+// value — its own, waited on, or already resident.
+func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, workers int) (*components, error) {
 	st := &pw.annot
+	c := &components{
+		mem: make(map[cache.HierarchyConfig]*MemPlane),
+		br:  make(map[uarch.PredictorKind]brPlane),
+	}
+	entH := make(map[cache.HierarchyConfig]*annotEntry[*MemPlane])
+	entP := make(map[uarch.PredictorKind]*annotEntry[brPlane])
+	var (
+		mineH []cache.HierarchyConfig
+		mineP []uarch.PredictorKind
+	)
 	st.mu.Lock()
 	if st.mem == nil {
 		st.mem = make(map[cache.HierarchyConfig]*annotEntry[*MemPlane])
-		st.br = make(map[uarch.PredictorKind]*annotEntry[*trace.BitPlane])
+		st.br = make(map[uarch.PredictorKind]*annotEntry[brPlane])
 	}
-	var (
-		mineH    []cache.HierarchyConfig
-		mineP    []uarch.PredictorKind
-		waitH    []*annotEntry[*MemPlane]
-		waitP    []*annotEntry[*trace.BitPlane]
-		claimed  = make(map[cache.HierarchyConfig]*annotEntry[*MemPlane])
-		claimedP = make(map[uarch.PredictorKind]*annotEntry[*trace.BitPlane])
-	)
 	for _, cfg := range cfgs {
-		if e, ok := st.mem[cfg.Hier]; ok {
-			st.touchLocked(&e.lastUse)
-			if claimed[cfg.Hier] == nil {
-				waitH = append(waitH, e)
+		if h := cfg.Hier; entH[h] == nil {
+			c.hiers = append(c.hiers, h)
+			e, ok := st.mem[h]
+			if ok {
+				st.touchLocked(&e.lastUse)
+			} else {
+				e = &annotEntry[*MemPlane]{done: make(chan struct{})}
+				st.mem[h] = e
+				mineH = append(mineH, h)
 			}
-		} else {
-			e := &annotEntry[*MemPlane]{done: make(chan struct{})}
-			st.mem[cfg.Hier] = e
-			claimed[cfg.Hier] = e
-			mineH = append(mineH, cfg.Hier)
+			entH[h] = e
 		}
-		if e, ok := st.br[cfg.Predictor]; ok {
-			st.touchLocked(&e.lastUse)
-			if claimedP[cfg.Predictor] == nil {
-				waitP = append(waitP, e)
+		if pk := cfg.Predictor; entP[pk] == nil {
+			c.preds = append(c.preds, pk)
+			e, ok := st.br[pk]
+			if ok {
+				st.touchLocked(&e.lastUse)
+			} else {
+				e = &annotEntry[brPlane]{done: make(chan struct{})}
+				st.br[pk] = e
+				mineP = append(mineP, pk)
 			}
-		} else {
-			e := &annotEntry[*trace.BitPlane]{done: make(chan struct{})}
-			st.br[cfg.Predictor] = e
-			claimedP[cfg.Predictor] = e
-			mineP = append(mineP, cfg.Predictor)
+			entP[pk] = e
 		}
 	}
 	// Snapshot canonicalization seeds — but only when this call
 	// actually claimed annotation work: a newly computed plane equal
 	// to a charged one canonicalizes onto it, so timing memoization
-	// keeps sharing replays across batches. Pure cache-hit calls
-	// (every per-point call after the up-front annotation pass) skip
+	// keeps sharing replays across batches. Pure cache-hit calls skip
 	// the walk entirely.
 	var memSeeds []*trace.BytePlane
 	var brSeeds []*trace.BitPlane
@@ -545,7 +543,6 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 	}
 	st.mu.Unlock()
 
-	var firstErr error
 	if len(mineH)+len(mineP) > 0 {
 		// Disk tier: rehydrate claimed components from the artifact
 		// store first. A stored plane is bit-identical to a computed
@@ -555,7 +552,7 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 		// Anything not on disk (or unusable) is computed below.
 		memRes := make(map[cache.HierarchyConfig]*MemPlane, len(mineH))
 		memErrs := make(map[cache.HierarchyConfig]error)
-		brResM := make(map[uarch.PredictorKind]*trace.BitPlane, len(mineP))
+		brRes := make(map[uarch.PredictorKind]brPlane, len(mineP))
 		brErrs := make(map[uarch.PredictorKind]error)
 		computeH, computeP := mineH, mineP
 		if pw.store != nil {
@@ -570,7 +567,7 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 			computeP = nil
 			for _, pk := range mineP {
 				if bp, err := pw.store.LoadBranchPlane(pw.storeKey, uarch.PredictorName(pk)); err == nil {
-					brResM[pk] = bp
+					brRes[pk] = brPlane{bits: bp}
 				} else {
 					computeP = append(computeP, pk)
 				}
@@ -580,10 +577,8 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 		fronts, byFront := groupByFront(computeH)
 		nf := len(fronts)
 		frontRes := make([]map[cache.HierarchyConfig]*MemPlane, nf)
-		frontRaw := make([]map[cache.HierarchyConfig]cache.Stats, nf)
 		frontErr := make([]error, nf)
-		brRes := make([]*trace.BitPlane, len(computeP))
-		brSt := make([]branch.Stats, len(computeP))
+		brOut := make([]brPlane, len(computeP))
 		brErr := make([]error, len(computeP))
 		// One pool for cache fronts and predictors together: the
 		// traversals are independent, so none serializes behind the
@@ -595,32 +590,22 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 		// with the cancellation error below so their claims resolve.
 		cutErr := par.ForEachCtx(ctx, workers, nf+len(computeP), func(i int) error {
 			if i < nf {
-				frontRes[i], frontRaw[i], frontErr[i] = safeAnnotateFront(ctx, pw.Trace, fronts[i], byFront[fronts[i]])
+				frontRes[i], frontErr[i] = safeAnnotateFront(ctx, pw.Trace, fronts[i], byFront[fronts[i]])
 			} else {
-				brRes[i-nf], brSt[i-nf], brErr[i-nf] = safeAnnotateBranch(ctx, pw.Trace, computeP[i-nf])
+				brOut[i-nf], brErr[i-nf] = safeAnnotateBranch(ctx, pw.Trace, computeP[i-nf])
 			}
 			return nil
 		})
-		for i := range frontErr {
+		for i, f := range fronts {
 			if frontErr[i] == nil && frontRes[i] == nil {
 				frontErr[i] = cutErr
 			}
-		}
-		for i := range brErr {
-			if brErr[i] == nil && brRes[i] == nil {
-				brErr[i] = cutErr
-			}
-		}
-		for i, f := range fronts {
 			for _, h := range byFront[f] {
 				if frontErr[i] != nil {
 					memErrs[h] = frontErr[i]
 					continue
 				}
 				mp := frontRes[i][h]
-				if fused != nil {
-					fused.mem[h] = frontRaw[i][h]
-				}
 				// Write-through before canonicalization swaps pointers
 				// (contents are equal either way). Save errors are
 				// ignored: the disk tier can only skip work.
@@ -631,17 +616,17 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 			}
 		}
 		for i, pk := range computeP {
+			if brErr[i] == nil && brOut[i].bits == nil {
+				brErr[i] = cutErr
+			}
 			if brErr[i] != nil {
 				brErrs[pk] = brErr[i]
 				continue
 			}
-			if fused != nil {
-				fused.br[pk] = brSt[i]
-			}
 			if pw.store != nil {
-				_ = pw.store.SaveBranchPlane(pw.storeKey, uarch.PredictorName(pk), brRes[i])
+				_ = pw.store.SaveBranchPlane(pw.storeKey, uarch.PredictorName(pk), brOut[i].bits)
 			}
-			brResM[pk] = brRes[i]
+			brRes[pk] = brOut[i]
 		}
 
 		// Canonicalize outside the lock (plane comparison walks whole
@@ -657,23 +642,20 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 			}
 		}
 		for _, pk := range mineP {
-			if bp := brResM[pk]; bp != nil {
-				q := canonicalize(brSeeds, bp)
-				brResM[pk] = q
-				brSeeds = append(brSeeds, q)
+			if bp, ok := brRes[pk]; ok {
+				bp.bits = canonicalize(brSeeds, bp.bits)
+				brRes[pk] = bp
+				brSeeds = append(brSeeds, bp.bits)
 			}
 		}
 
 		st.mu.Lock()
 		for _, h := range mineH {
-			e := claimed[h]
+			e := entH[h]
 			if err := memErrs[h]; err != nil {
 				// Failed entries are removed so a later call can
 				// retry; waiters of this batch observe the error.
 				e.err = err
-				if firstErr == nil {
-					firstErr = err
-				}
 				if st.mem[h] == e {
 					delete(st.mem, h)
 				}
@@ -684,17 +666,14 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 			close(e.done)
 		}
 		for _, pk := range mineP {
-			e := claimedP[pk]
+			e := entP[pk]
 			if err := brErrs[pk]; err != nil {
 				e.err = err
-				if firstErr == nil {
-					firstErr = err
-				}
 				if st.br[pk] == e {
 					delete(st.br, pk)
 				}
 			} else {
-				e.val = brResM[pk]
+				e.val = brRes[pk]
 				st.chargeBrLocked(e)
 			}
 			close(e.done)
@@ -702,192 +681,54 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 		st.evictLocked()
 		st.mu.Unlock()
 	}
-	// Waits on other requests' claims abandon when ctx ends — every
-	// claim of this call is already resolved above, so leaving early
-	// wedges nobody.
-	for _, e := range waitH {
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		if e.err != nil && firstErr == nil {
-			firstErr = e.err
-		}
-	}
-	for _, e := range waitP {
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		if e.err != nil && firstErr == nil {
-			firstErr = e.err
-		}
-	}
-	return firstErr
-}
 
-// Annotation returns the annotation planes for one design point,
-// computing and caching them if needed (singleflight per component).
-// The claimed entries' values are returned directly, so the result is
-// valid even if a tight byte budget evicts the cache entries
-// immediately: the planes are computed exactly once per call and never
-// thrown away unread. The claim/seed/publish discipline mirrors the
-// batched EnsureAnnotated — changes to charging, canonicalization or
-// error eviction must be applied to both.
-func (pw *Profiled) Annotation(cfg uarch.Config) (pipeline.Annotation, error) {
-	return pw.AnnotationCtx(context.Background(), cfg)
-}
-
-// AnnotationCtx is Annotation under a request context, with the same
-// claimant/waiter cancellation contract as EnsureAnnotatedCtx: own
-// claims compute under ctx, waits on other requests' claims abandon
-// when ctx ends, and another request's cancellation is retried rather
-// than reported.
-func (pw *Profiled) AnnotationCtx(ctx context.Context, cfg uarch.Config) (pipeline.Annotation, error) {
-	for {
-		ann, err := pw.annotation(ctx, cfg)
-		if err != nil && isCancellation(err) && ctx.Err() == nil {
+	// Collect every component's value. This call's own claims are
+	// resolved above; waits on other requests' claims abandon when ctx
+	// ends, which wedges nobody. An entry's value outlives its
+	// eviction, so a tight budget never forces a recomputation here.
+	var firstErr error
+	for _, h := range c.hiers {
+		e := entH[h]
+		if err := awaitEntry(ctx, e); err != nil {
+			return nil, err
+		}
+		if e.err != nil {
+			firstErr = cmp.Or(firstErr, e.err)
 			continue
 		}
-		return ann, err
+		c.mem[h] = e.val
 	}
+	for _, pk := range c.preds {
+		e := entP[pk]
+		if err := awaitEntry(ctx, e); err != nil {
+			return nil, err
+		}
+		if e.err != nil {
+			firstErr = cmp.Or(firstErr, e.err)
+			continue
+		}
+		c.br[pk] = e.val
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return c, nil
 }
 
-func (pw *Profiled) annotation(ctx context.Context, cfg uarch.Config) (pipeline.Annotation, error) {
-	st := &pw.annot
-	st.mu.Lock()
-	if st.mem == nil {
-		st.mem = make(map[cache.HierarchyConfig]*annotEntry[*MemPlane])
-		st.br = make(map[uarch.PredictorKind]*annotEntry[*trace.BitPlane])
+// awaitEntry waits for an entry to complete, abandoning the wait with
+// ctx.Err() once ctx ends. A completed entry is returned at once even
+// under an ended ctx, so resolving this call's own claims never turns
+// into a spurious cancellation.
+func awaitEntry[T any](ctx context.Context, e *annotEntry[T]) error {
+	if entryDone(e) {
+		return nil
 	}
-	me, haveM := st.mem[cfg.Hier]
-	if haveM {
-		st.touchLocked(&me.lastUse)
-	} else {
-		me = &annotEntry[*MemPlane]{done: make(chan struct{})}
-		st.mem[cfg.Hier] = me
+	select {
+	case <-e.done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	be, haveB := st.br[cfg.Predictor]
-	if haveB {
-		st.touchLocked(&be.lastUse)
-	} else {
-		be = &annotEntry[*trace.BitPlane]{done: make(chan struct{})}
-		st.br[cfg.Predictor] = be
-	}
-	var memSeeds []*trace.BytePlane
-	var brSeeds []*trace.BitPlane
-	if !haveM || !haveB {
-		memSeeds, brSeeds = st.seedsLocked()
-	}
-	st.mu.Unlock()
-
-	// Resolve every claimed piece before any early return: a claimed
-	// entry left unresolved would block its waiters forever.
-	// Canonicalization against already-cached planes happens outside
-	// the lock (the comparison walks whole chunks) so timing
-	// memoization keeps sharing replays.
-	var (
-		mp *MemPlane
-		bp *trace.BitPlane
-	)
-	var memErr, brErr error
-	if !haveB {
-		// Disk tier first: a stored plane skips the traversal (and
-		// the annotation counter); a computed one is written through.
-		if pw.store != nil {
-			if q, err := pw.store.LoadBranchPlane(pw.storeKey, uarch.PredictorName(cfg.Predictor)); err == nil {
-				bp = q
-			}
-		}
-		if bp == nil {
-			bp, _, brErr = safeAnnotateBranch(ctx, pw.Trace, cfg.Predictor)
-			if brErr == nil && pw.store != nil {
-				_ = pw.store.SaveBranchPlane(pw.storeKey, uarch.PredictorName(cfg.Predictor), bp)
-			}
-		}
-		st.mu.Lock()
-		if brErr != nil {
-			// Failed entries are removed so a later call can retry.
-			be.err = brErr
-			if st.br[cfg.Predictor] == be {
-				delete(st.br, cfg.Predictor)
-			}
-		} else {
-			bp = canonicalize(brSeeds, bp)
-			be.val = bp
-			st.chargeBrLocked(be)
-		}
-		close(be.done)
-		st.evictLocked()
-		st.mu.Unlock()
-	}
-	if !haveM {
-		// Computed and published with its own outcome even when the
-		// branch half failed: one bad component must not poison the
-		// other's waiters.
-		if pw.store != nil {
-			if classes, stats, err := pw.store.LoadMemPlane(pw.storeKey, cfg.Hier); err == nil {
-				mp = &MemPlane{Classes: classes, Stats: stats}
-			}
-		}
-		if mp == nil {
-			var part map[cache.HierarchyConfig]*MemPlane
-			part, _, memErr = safeAnnotateFront(ctx, pw.Trace, frontOf(cfg.Hier), []cache.HierarchyConfig{cfg.Hier})
-			if memErr == nil {
-				mp = part[cfg.Hier]
-				if pw.store != nil {
-					_ = pw.store.SaveMemPlane(pw.storeKey, cfg.Hier, mp.Classes, mp.Stats)
-				}
-			}
-		}
-		if memErr == nil {
-			mp.Classes = canonicalize(memSeeds, mp.Classes)
-		}
-		st.mu.Lock()
-		if memErr != nil {
-			me.err = memErr
-			if st.mem[cfg.Hier] == me {
-				delete(st.mem, cfg.Hier)
-			}
-		} else {
-			me.val = mp
-			st.chargeMemLocked(me)
-		}
-		close(me.done)
-		st.evictLocked()
-		st.mu.Unlock()
-	}
-	if memErr != nil {
-		return pipeline.Annotation{}, memErr
-	}
-	if brErr != nil {
-		return pipeline.Annotation{}, brErr
-	}
-	if haveM {
-		select {
-		case <-me.done:
-		case <-ctx.Done():
-			return pipeline.Annotation{}, ctx.Err()
-		}
-		if me.err != nil {
-			return pipeline.Annotation{}, me.err
-		}
-		mp = me.val
-	}
-	if haveB {
-		select {
-		case <-be.done:
-		case <-ctx.Done():
-			return pipeline.Annotation{}, ctx.Err()
-		}
-		if be.err != nil {
-			return pipeline.Annotation{}, be.err
-		}
-		bp = be.val
-	}
-	return pipeline.Annotation{Mem: mp.Classes, MemStats: mp.Stats, Br: bp}, nil
 }
 
 // SetAnnotBudget bounds the resident bytes of the annotation-plane and

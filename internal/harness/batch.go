@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/par"
@@ -52,9 +54,9 @@ func (pw *Profiled) SimulateDetailedCtx(ctx context.Context, cfg uarch.Config) (
 // kernel: the trace is annotated once per distinct component, the
 // points are deduplicated through the timing memo, and all
 // memo-missing points replay together in one pass over each trace
-// chunk (pipeline.SimulateAnnotatedBatch), sharded across workers.
-// Results are indexed like cfgs and each is bit-identical to
-// pipeline.Simulate's.
+// chunk (pipeline.SimulateAnnotatedBatch), sharded across workers by
+// stream (see sortByStream). Results are indexed like cfgs and each is
+// bit-identical to pipeline.Simulate's.
 func (pw *Profiled) SimulateDetailedBatch(cfgs []uarch.Config, workers int) ([]pipeline.Result, error) {
 	return pw.SimulateDetailedBatchCtx(context.Background(), cfgs, workers)
 }
@@ -80,22 +82,13 @@ func (pw *Profiled) simulateDetailedBatch(ctx context.Context, cfgs []uarch.Conf
 	if len(cfgs) == 0 {
 		return nil, nil
 	}
-	// Several points annotate their components in one parallel pass; a
-	// single point annotates through annotation alone, whose claimed
-	// planes stay usable even when a tight byte budget evicts them
-	// at once.
-	if len(cfgs) > 1 {
-		if err := pw.ensureAnnotated(ctx, cfgs, workers, nil); err != nil {
-			return nil, err
-		}
+	c, err := pw.ensureAnnotated(ctx, cfgs, workers)
+	if err != nil {
+		return nil, err
 	}
 	anns := make([]pipeline.Annotation, len(cfgs))
 	for i, cfg := range cfgs {
-		ann, err := pw.annotation(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		anns[i] = ann
+		anns[i] = c.annotation(cfg)
 	}
 
 	// Partition the points over the timing memo: the first point of
@@ -110,8 +103,7 @@ func (pw *Profiled) simulateDetailedBatch(ctx context.Context, cfgs []uarch.Conf
 	keys := make([]timingKey, len(cfgs))
 	own := make(map[timingKey]*annotEntry[pipeline.Result])
 	waits := make(map[timingKey]*annotEntry[pipeline.Result])
-	var claimKeys []timingKey
-	var claimRep []int // index of the claiming (representative) config
+	var claims []claim
 	for i, cfg := range cfgs {
 		k := timingKeyOf(cfg, anns[i].Mem, anns[i].Br)
 		keys[i] = k
@@ -126,10 +118,10 @@ func (pw *Profiled) simulateDetailedBatch(ctx context.Context, cfgs []uarch.Conf
 		e := &annotEntry[pipeline.Result]{done: make(chan struct{})}
 		st.timing[k] = e
 		own[k] = e
-		claimKeys = append(claimKeys, k)
-		claimRep = append(claimRep, i)
+		claims = append(claims, claim{key: k, rep: i})
 	}
 	st.mu.Unlock()
+	sortByStream(claims)
 
 	// Replay every claimed key in config-parallel batches, one shard
 	// per worker. Every claim is resolved exactly once below — a shard
@@ -137,20 +129,17 @@ func (pw *Profiled) simulateDetailedBatch(ctx context.Context, cfgs []uarch.Conf
 	// claims with the error and removes them so a later call retries;
 	// completed shards publish even when a sibling failed, so their
 	// work is kept.
-	ownRes := make(map[timingKey]pipeline.Result, len(claimKeys))
-	if len(claimKeys) > 0 {
-		ns := par.Workers(workers)
-		if ns > len(claimKeys) {
-			ns = len(claimKeys)
-		}
+	ownRes := make(map[timingKey]pipeline.Result, len(claims))
+	if len(claims) > 0 {
+		ns := min(par.Workers(workers), len(claims))
 		shardRes := make([][]pipeline.Result, ns)
 		shardErr := make([]error, ns)
-		lo := func(s int) int { return s * len(claimKeys) / ns }
+		lo := func(s int) int { return s * len(claims) / ns }
 		cutErr := par.ForEachCtx(ctx, workers, ns, func(s int) error {
 			a, b := lo(s), lo(s+1)
 			pts := make([]pipeline.BatchPoint, b-a)
 			for j := a; j < b; j++ {
-				i := claimRep[j]
+				i := claims[j].rep
 				pts[j-a] = pipeline.BatchPoint{Cfg: cfgs[i], Ann: anns[i]}
 			}
 			shardRes[s], shardErr[s] = safeSimulateAnnotatedBatch(ctx, pw.Trace, pts)
@@ -164,7 +153,7 @@ func (pw *Profiled) simulateDetailedBatch(ctx context.Context, cfgs []uarch.Conf
 				err = cutErr // shard never ran: the cancellation cut it
 			}
 			for j := lo(s); j < lo(s+1); j++ {
-				k := claimKeys[j]
+				k := claims[j].key
 				e := own[k]
 				if err != nil {
 					e.err = err
@@ -215,4 +204,37 @@ func (pw *Profiled) simulateDetailedBatch(ctx context.Context, cfgs []uarch.Conf
 		out[i] = res
 	}
 	return out, nil
+}
+
+// claim is one timing key this call replays, with the index of the
+// configuration that represents it.
+type claim struct {
+	key timingKey
+	rep int
+}
+
+// sortByStream orders claims by the kernel's stream — (memory plane,
+// branch plane, width), planes ranked by first appearance so the order
+// is deterministic — keeping the original order within a stream. The
+// contiguous shard split then hands each shard few streams: each
+// builds a plane's uops and decomposes a stream once, where an
+// unsorted split makes every shard redo every stream.
+func sortByStream(claims []claim) {
+	memRank := make(map[*trace.BytePlane]int)
+	brRank := make(map[*trace.BitPlane]int)
+	for _, c := range claims {
+		if _, ok := memRank[c.key.mem]; !ok {
+			memRank[c.key.mem] = len(memRank)
+		}
+		if _, ok := brRank[c.key.br]; !ok {
+			brRank[c.key.br] = len(brRank)
+		}
+	}
+	slices.SortStableFunc(claims, func(a, b claim) int {
+		return cmp.Or(
+			cmp.Compare(memRank[a.key.mem], memRank[b.key.mem]),
+			cmp.Compare(brRank[a.key.br], brRank[b.key.br]),
+			cmp.Compare(a.key.width, b.key.width),
+		)
+	})
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -134,5 +135,76 @@ func TestSimulateDetailedBatchCancelLeavesNoPartialMemo(t *testing.T) {
 	pw.annot.mu.Unlock()
 	if stored == 0 {
 		t.Fatal("successful batch stored no timing memo entries")
+	}
+}
+
+// TestSimulateDetailedBatchTightBudgetAnnotatesOnce pins that a
+// multi-point batch annotates each component once even when the byte
+// budget is smaller than the planes: the batch uses the values its own
+// annotation pass resolved, so the planes that pass evicts on publish
+// are never computed a second time.
+func TestSimulateDetailedBatchTightBudgetAnnotatesOnce(t *testing.T) {
+	spec, err := workloads.ByName("crc32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw := MustProfileProgram(spec.Build())
+	pw.SetAnnotBudget(32 << 10)
+	base := uarch.Default()
+	cfgs := []uarch.Config{base, base.WithWidth(2)} // one hierarchy, one predictor
+	c0, b0 := CacheAnnotationCount(), BranchAnnotationCount()
+	got, err := pw.SimulateDetailedBatch(cfgs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dc, db := CacheAnnotationCount()-c0, BranchAnnotationCount()-b0; dc != 1 || db != 1 {
+		t.Errorf("batch under a 32 KiB budget annotated %d hierarchies and %d predictors, want 1 and 1", dc, db)
+	}
+	if pw.AnnotEvictions() == 0 {
+		t.Error("32 KiB budget evicted nothing: the test no longer exercises eviction on publish")
+	}
+	for i, cfg := range cfgs {
+		want, err := pipeline.Simulate(pw.Trace, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Errorf("cfg %d (%s): batch diverges:\n got  %+v\n want %+v", i, cfg, got[i], want)
+		}
+	}
+}
+
+// TestSimulateDetailedBatchShardOrderIrrelevant pins that sorting the
+// claimed points by stream before the shard split changes no result:
+// the 192 Table 2 points on sha, in a shuffled order, come out of a
+// cold batch with 1, 2 and 3 workers bit-identical to pipeline.Simulate
+// at every point.
+func TestSimulateDetailedBatchShardOrderIrrelevant(t *testing.T) {
+	spec, err := workloads.ByName("sha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw := MustProfileProgram(spec.Build())
+	space, err := uarch.Table2Domain().Enumerate(uarch.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rand.New(rand.NewPCG(14, 0)).Shuffle(len(space), func(i, j int) { space[i], space[j] = space[j], space[i] })
+	want := make([]pipeline.Result, len(space))
+	for i, cfg := range space {
+		if want[i], err = pipeline.Simulate(pw.Trace, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 2, 3} {
+		got, err := pw.Fresh().SimulateDetailedBatch(space, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cfg := range space {
+			if got[i] != want[i] {
+				t.Fatalf("workers %d, %s: batch diverges:\n got  %+v\n want %+v", workers, cfg.Name, got[i], want[i])
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync/atomic"
 
 	"repro/internal/branch"
@@ -63,35 +64,51 @@ func CollectMultiStats(tr *trace.Trace, cfgs []uarch.Config) (*MultiStats, error
 // single statistics traversal aborts at a trace chunk boundary once
 // ctx ends, returning ctx.Err() with nothing collected.
 func CollectMultiStatsCtx(ctx context.Context, tr *trace.Trace, cfgs []uarch.Config) (*MultiStats, error) {
-	m := &MultiStats{
-		cacheStats:  make(map[cache.HierarchyConfig]cache.Stats),
-		branchStats: make(map[uarch.PredictorKind]branch.Stats),
+	var (
+		hiers []cache.HierarchyConfig
+		preds []uarch.PredictorKind
+	)
+	seenH := make(map[cache.HierarchyConfig]bool)
+	seenP := make(map[uarch.PredictorKind]bool)
+	for _, cfg := range cfgs {
+		if !seenH[cfg.Hier] {
+			seenH[cfg.Hier] = true
+			hiers = append(hiers, cfg.Hier)
+		}
+		if !seenP[cfg.Predictor] {
+			seenP[cfg.Predictor] = true
+			preds = append(preds, cfg.Predictor)
+		}
 	}
-	if len(cfgs) == 0 {
+	return collectStats(ctx, tr, hiers, preds)
+}
+
+// collectStats collects the statistics of the given distinct
+// hierarchies and predictors in one traversal of tr — and no
+// traversal at all when both lists are empty. Only the requested kinds
+// run: a predictors-only call builds no cache engine.
+func collectStats(ctx context.Context, tr *trace.Trace, hiers []cache.HierarchyConfig, preds []uarch.PredictorKind) (*MultiStats, error) {
+	m := &MultiStats{
+		cacheStats:  make(map[cache.HierarchyConfig]cache.Stats, len(hiers)),
+		branchStats: make(map[uarch.PredictorKind]branch.Stats, len(preds)),
+	}
+	if len(hiers)+len(preds) == 0 {
 		return m, nil
 	}
 
 	// One engine per distinct fixed front; one collector per predictor.
-	engines := make(map[hierFront]*cache.L2SpaceSim)
-	l2sByFront := make(map[hierFront][]cache.Config)
-	var hiers []cache.HierarchyConfig
-	for _, cfg := range cfgs {
-		if _, dup := m.cacheStats[cfg.Hier]; !dup {
-			m.cacheStats[cfg.Hier] = cache.Stats{} // mark wanted
-			hiers = append(hiers, cfg.Hier)
-			f := frontOf(cfg.Hier)
-			l2sByFront[f] = append(l2sByFront[f], cfg.Hier.L2)
-		}
-		if _, dup := m.branchStats[cfg.Predictor]; !dup {
-			m.branchStats[cfg.Predictor] = branch.Stats{}
-		}
-	}
-	consumers := make(trace.Tee, 0, len(l2sByFront)+len(m.branchStats))
-	for f, l2s := range l2sByFront {
+	fronts, byFront := groupByFront(hiers)
+	engines := make(map[hierFront]*cache.L2SpaceSim, len(fronts))
+	consumers := make(trace.Tee, 0, len(fronts)+len(preds))
+	for _, f := range fronts {
 		base := cache.HierarchyConfig{
 			IL1: f.il1, DL1: f.dl1,
 			ITLBEntries: f.itlbEntries, DTLBEntries: f.dtlbEntries,
 			PageBytes: f.pageBytes,
+		}
+		l2s := make([]cache.Config, len(byFront[f]))
+		for k, h := range byFront[f] {
+			l2s[k] = h.L2
 		}
 		eng, err := cache.NewL2SpaceSim(base, l2s)
 		if err != nil {
@@ -100,11 +117,10 @@ func CollectMultiStatsCtx(ctx context.Context, tr *trace.Trace, cfgs []uarch.Con
 		engines[f] = eng
 		consumers = append(consumers, eng)
 	}
-	bcs := make(map[uarch.PredictorKind]*branch.Collector, len(m.branchStats))
-	for pk := range m.branchStats {
-		bc := branch.NewCollector(pk.New())
-		bcs[pk] = bc
-		consumers = append(consumers, bc)
+	bcs := make([]*branch.Collector, len(preds))
+	for i, pk := range preds {
+		bcs[i] = branch.NewCollector(pk.New())
+		consumers = append(consumers, bcs[i])
 	}
 
 	replays.Add(1)
@@ -119,8 +135,8 @@ func CollectMultiStatsCtx(ctx context.Context, tr *trace.Trace, cfgs []uarch.Con
 		}
 		m.cacheStats[h] = cs
 	}
-	for pk, bc := range bcs {
-		m.branchStats[pk] = bc.S
+	for i, pk := range preds {
+		m.branchStats[pk] = bcs[i].S
 	}
 	return m, nil
 }
@@ -163,78 +179,60 @@ type InputsSet struct {
 	ms *MultiStats
 }
 
-// fusedStats is the statistics side-channel of a fused
-// annotation+inputs pass (ExploreInputs): each annotation traversal
-// deposits the raw end-of-run statistics its engines produced, keyed
-// like MultiStats. It is written only from the sequential publish
-// section of ensureAnnotated, so it needs no locking.
-type fusedStats struct {
-	mem map[cache.HierarchyConfig]cache.Stats // raw engine stats (no I-stall fold)
-	br  map[uarch.PredictorKind]branch.Stats
-}
-
 // ExploreInputs is ExploreInputsCtx with a background context.
 func (pw *Profiled) ExploreInputs(cfgs []uarch.Config, workers int) (*InputsSet, error) {
 	return pw.ExploreInputsCtx(context.Background(), cfgs, workers)
 }
 
-// ExploreInputsCtx computes the annotation planes AND the model inputs
-// of every configuration in cfgs from one fused pass: the cache engine
-// and predictor that compute a component's plane see exactly the
-// stream CollectMultiStats would replay, so their end-of-run
-// statistics double as the model inputs. A cold validated exploration
-// therefore performs no separate statistics traversal at all.
-// Components that were already annotated (cache or disk hits) carry no
-// fused statistics; one supplemental CollectMultiStats replay covers
-// exactly those. The returned inputs are bit-identical to
-// MultiInputsCtx's, and the annotation cache is left exactly as
-// EnsureAnnotatedCtx would leave it.
+// ExploreInputsCtx ensures the annotation planes of every
+// configuration in cfgs (EnsureAnnotatedCtx) and returns their model
+// inputs from the same pass. The cache engine and predictor that
+// compute a component's plane see exactly the stream CollectMultiStats
+// would replay, so the end-of-run statistics they leave in the
+// component's annotation entry double as its model inputs — whether
+// the component was computed by this call, waited on, or already
+// resident. Only planes loaded from the artifact store, which does not
+// store these statistics, lack them; one CollectMultiStats traversal
+// of just those components (and just their kinds) covers the gap. A
+// validated exploration over computed or resident components
+// therefore performs no statistics traversal at all. The returned
+// inputs are bit-identical to MultiInputsCtx's.
 func (pw *Profiled) ExploreInputsCtx(ctx context.Context, cfgs []uarch.Config, workers int) (*InputsSet, error) {
-	fs := &fusedStats{
-		mem: make(map[cache.HierarchyConfig]cache.Stats),
-		br:  make(map[uarch.PredictorKind]branch.Stats),
-	}
-	// Same retry contract as EnsureAnnotatedCtx: another request's
-	// cancellation re-claims rather than reports. Statistics deposited
-	// by completed traversals of an aborted attempt stay valid — their
-	// components are published, so the retry recomputes only the rest.
-	for {
-		err := pw.ensureAnnotated(ctx, cfgs, workers, fs)
-		if err == nil {
-			break
-		}
-		if isCancellation(err) && ctx.Err() == nil {
-			continue
-		}
+	c, err := pw.annotated(ctx, cfgs, workers)
+	if err != nil {
 		return nil, err
 	}
-	var missing []uarch.Config
-	for _, cfg := range cfgs {
-		_, okH := fs.mem[cfg.Hier]
-		_, okP := fs.br[cfg.Predictor]
-		if !okH || !okP {
-			missing = append(missing, cfg)
+	ms := &MultiStats{
+		cacheStats:  make(map[cache.HierarchyConfig]cache.Stats, len(c.hiers)),
+		branchStats: make(map[uarch.PredictorKind]branch.Stats, len(c.preds)),
+	}
+	var (
+		gapH []cache.HierarchyConfig
+		gapP []uarch.PredictorKind
+	)
+	for _, h := range c.hiers {
+		if mp := c.mem[h]; mp.hasRaw {
+			ms.cacheStats[h] = mp.raw
+		} else {
+			gapH = append(gapH, h)
 		}
 	}
-	if len(missing) > 0 {
-		ms, err := CollectMultiStatsCtx(ctx, pw.Trace, missing)
+	for _, pk := range c.preds {
+		if bp := c.br[pk]; bp.hasStats {
+			ms.branchStats[pk] = bp.stats
+		} else {
+			gapP = append(gapP, pk)
+		}
+	}
+	if len(gapH)+len(gapP) > 0 {
+		gap, err := collectStats(ctx, pw.Trace, gapH, gapP)
 		if err != nil {
 			return nil, err
 		}
-		// Merge only the missing keys: fused values are bit-identical
-		// anyway, but the guard keeps the precedence explicit.
-		for h, cs := range ms.cacheStats {
-			if _, ok := fs.mem[h]; !ok {
-				fs.mem[h] = cs
-			}
-		}
-		for pk, bs := range ms.branchStats {
-			if _, ok := fs.br[pk]; !ok {
-				fs.br[pk] = bs
-			}
-		}
+		maps.Copy(ms.cacheStats, gap.cacheStats)
+		maps.Copy(ms.branchStats, gap.branchStats)
 	}
-	return &InputsSet{pw: pw, ms: &MultiStats{cacheStats: fs.mem, branchStats: fs.br}}, nil
+	return &InputsSet{pw: pw, ms: ms}, nil
 }
 
 // Inputs assembles the model inputs for one design point.

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"context"
+	"maps"
+	"slices"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -44,32 +46,28 @@ func (pw *Profiled) NewStatsCache() *StatsCache {
 // traversal (aborted at a chunk boundary once ctx ends, caching
 // nothing).
 func (c *StatsCache) AddCtx(ctx context.Context, cfgs []uarch.Config) error {
-	var missing []uarch.Config
+	var (
+		missH []cache.HierarchyConfig
+		missP []uarch.PredictorKind
+	)
 	for _, cfg := range cfgs {
-		_, okH := c.mem[cfg.Hier]
-		_, okP := c.br[cfg.Predictor]
-		if !okH || !okP {
-			missing = append(missing, cfg)
+		if _, ok := c.mem[cfg.Hier]; !ok && !slices.Contains(missH, cfg.Hier) {
+			missH = append(missH, cfg.Hier)
+		}
+		if _, ok := c.br[cfg.Predictor]; !ok && !slices.Contains(missP, cfg.Predictor) {
+			missP = append(missP, cfg.Predictor)
 		}
 	}
-	if len(missing) == 0 {
+	if len(missH)+len(missP) == 0 {
 		return nil
 	}
-	ms, err := CollectMultiStatsCtx(ctx, c.pw.Trace, missing)
+	ms, err := collectStats(ctx, c.pw.Trace, missH, missP)
 	if err != nil {
 		return err
 	}
 	c.replays++
-	for h, cs := range ms.cacheStats {
-		if _, ok := c.mem[h]; !ok {
-			c.mem[h] = cs
-		}
-	}
-	for pk, bs := range ms.branchStats {
-		if _, ok := c.br[pk]; !ok {
-			c.br[pk] = bs
-		}
-	}
+	maps.Copy(c.mem, ms.cacheStats)
+	maps.Copy(c.br, ms.branchStats)
 	return nil
 }
 

@@ -804,25 +804,20 @@ type ExploreResponse struct {
 // Each present value is validated by the axis itself, so the rejection
 // lists the valid spellings dynamically.
 func domainFilter(r *http.Request, d *uarch.Domain) ([]uarch.Config, error) {
-	pts := d.EnumeratePoints()
+	q := r.URL.Query()
 	axes := d.Axes()
+	pin := make([]int, len(axes))
 	for ai := range axes {
-		v := r.URL.Query().Get(axes[ai].Name)
-		if v == "" {
-			continue
-		}
-		idx, err := axes[ai].IndexOfValue(v)
-		if err != nil {
-			return nil, err
-		}
-		var kept []uarch.Point
-		for _, pt := range pts {
-			if pt[ai] == idx {
-				kept = append(kept, pt)
+		pin[ai] = -1
+		if v := q.Get(axes[ai].Name); v != "" {
+			idx, err := axes[ai].IndexOfValue(v)
+			if err != nil {
+				return nil, err
 			}
+			pin[ai] = idx
 		}
-		pts = kept
 	}
+	pts := d.EnumerateSlice(pin)
 	space := make([]uarch.Config, len(pts))
 	for i, pt := range pts {
 		cfg, err := d.Apply(uarch.Default(), pt)

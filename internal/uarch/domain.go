@@ -459,15 +459,45 @@ func (d *Domain) PointOfValues(vals ...string) (Point, error) {
 
 // EnumeratePoints returns every valid point in index order.
 func (d *Domain) EnumeratePoints() []Point {
-	out := make([]Point, 0, d.card)
+	return d.EnumerateSlice(nil)
+}
+
+// EnumerateSlice returns the valid points whose axis i has value index
+// pin[i] for every pin[i] >= 0, in index order: EnumeratePoints
+// narrowed to a slice of the grid, but walking only the product of the
+// free axes (pin[i] < 0, or a nil pin for the whole grid) instead of
+// filtering the full enumeration. Pinned indices must be in range.
+func (d *Domain) EnumerateSlice(pin []int) []Point {
 	pt := make(Point, len(d.axes))
-	for idx := int64(0); idx < d.grid; idx++ {
-		d.pointAtGrid(idx, pt)
+	var free []int
+	size := 1 // the free axes' product: a bound on the result
+	for i := range d.axes {
+		if pin == nil || pin[i] < 0 {
+			free = append(free, i)
+			size *= d.axes[i].Card()
+		} else {
+			pt[i] = pin[i]
+		}
+	}
+	out := make([]Point, 0, size)
+	for {
 		if d.constraintOf(pt) == nil {
 			out = append(out, pt.Clone())
 		}
+		// Odometer step over the free axes, the last fastest — the
+		// mixed-radix index order of pointAtGrid.
+		k := len(free) - 1
+		for ; k >= 0; k-- {
+			a := free[k]
+			if pt[a]++; pt[a] < d.axes[a].Card() {
+				break
+			}
+			pt[a] = 0
+		}
+		if k < 0 {
+			return out
+		}
 	}
-	return out
 }
 
 // Enumerate applies every valid point to base, in index order — the

@@ -55,6 +55,71 @@ func equalPoints(a, b Point) bool {
 	return true
 }
 
+// EnumerateSlice walks only the free axes' product, so it must return
+// exactly the grid points, in index order, that a brute-force decode
+// of every grid index keeps after the constraints and the pins: with
+// no pin, with each single axis pinned to each value, and with every
+// pair of axes pinned to their last values.
+func TestEnumerateSliceMatchesGridFilter(t *testing.T) {
+	for _, d := range Domains() {
+		var grid []Point
+		for idx := int64(0); idx < d.GridSize(); idx++ {
+			if pt, err := d.PointAt(idx); err == nil {
+				grid = append(grid, pt)
+			}
+		}
+		check := func(pin []int) {
+			t.Helper()
+			var want []Point
+			for _, pt := range grid {
+				keep := true
+				for i := range pin {
+					if pin[i] >= 0 && pt[i] != pin[i] {
+						keep = false
+					}
+				}
+				if keep {
+					want = append(want, pt)
+				}
+			}
+			got := d.EnumerateSlice(pin)
+			if len(got) != len(want) {
+				t.Fatalf("%s pin %v: %d points, want %d", d.Name, pin, len(got), len(want))
+			}
+			for i := range got {
+				if !equalPoints(got[i], want[i]) {
+					t.Fatalf("%s pin %v: point %d is %v, want %v", d.Name, pin, i, got[i], want[i])
+				}
+			}
+		}
+		axes := d.Axes()
+		free := func() []int {
+			pin := make([]int, len(axes))
+			for i := range pin {
+				pin[i] = -1
+			}
+			return pin
+		}
+		check(nil)
+		check(free())
+		for a := range axes {
+			for v := 0; v < axes[a].Card(); v++ {
+				pin := free()
+				pin[a] = v
+				check(pin)
+			}
+			for b := a + 1; b < len(axes); b++ {
+				pin := free()
+				pin[a], pin[b] = axes[a].Card()-1, axes[b].Card()-1
+				check(pin)
+			}
+		}
+		if got := len(d.EnumeratePoints()); int64(got) != d.Cardinality() {
+			t.Fatalf("%s: EnumeratePoints=%d, Cardinality=%d", d.Name, got, d.Cardinality())
+		}
+	}
+}
+
 // The built-in domains have the cardinalities the exploration stack
 // advertises: Table 2's 192 points and the extended space's 3072 valid
 // points of a 3456-point grid.
